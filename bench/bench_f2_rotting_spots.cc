@@ -13,6 +13,7 @@
 #include "fungus/egi_fungus.h"
 #include "fungus/random_blight_fungus.h"
 #include "fungus/rot_analysis.h"
+#include "fungus/scheduler.h"
 
 namespace fungusdb {
 namespace {
@@ -67,10 +68,9 @@ void Run() {
   printer.MirrorTo(&report);
   printer.PrintHeader();
   for (int tick = 1; tick <= kTicks; ++tick) {
-    DecayContext ec(&egi_table, tick);
-    egi.Tick(ec);
-    DecayContext bc(&blight_table, tick);
-    blight.Tick(bc);
+    RunDecayTick(egi_table, egi, tick, /*tick_index=*/tick - 1, nullptr);
+    RunDecayTick(blight_table, blight, tick, /*tick_index=*/tick - 1,
+                 nullptr);
     if (tick % 60 == 0) {
       Report("egi", egi_table, tick, printer);
       Report("random", blight_table, tick, printer);

@@ -10,6 +10,7 @@
 #include "bench/bench_util.h"
 #include "fungus/egi_fungus.h"
 #include "fungus/rot_analysis.h"
+#include "fungus/scheduler.h"
 
 namespace fungusdb {
 namespace {
@@ -52,8 +53,7 @@ void Run() {
         EgiFungus fungus(p);
         int half_life = -1;
         for (int tick = 1; tick <= kMaxTicks; ++tick) {
-          DecayContext ctx(&t, tick);
-          fungus.Tick(ctx);
+          RunDecayTick(t, fungus, tick, /*tick_index=*/tick - 1, nullptr);
           if (t.live_rows() <= kRows / 2) {
             half_life = tick;
             break;

@@ -7,6 +7,7 @@
 
 #include "fungus/egi_fungus.h"
 #include "fungus/retention_fungus.h"
+#include "fungus/scheduler.h"
 #include "query/engine.h"
 #include "query/parser.h"
 #include "storage/table.h"
@@ -62,9 +63,9 @@ void BM_RetentionTick(benchmark::State& state) {
   Table t = FilledTable(state.range(0));
   RetentionFungus fungus(1 << 30);
   Timestamp now = state.range(0);
+  uint64_t tick = 0;
   for (auto _ : state) {
-    DecayContext ctx(&t, ++now);
-    fungus.Tick(ctx);
+    RunDecayTick(t, fungus, ++now, tick++, nullptr);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -77,9 +78,9 @@ void BM_EgiTick(benchmark::State& state) {
   p.decay_step = 0.1;
   EgiFungus fungus(p);
   Timestamp now = 0;
+  uint64_t tick = 0;
   for (auto _ : state) {
-    DecayContext ctx(&t, ++now);
-    fungus.Tick(ctx);
+    RunDecayTick(t, fungus, ++now, tick++, nullptr);
     if (t.live_rows() < 50000) {
       state.PauseTiming();
       t = FilledTable(100000);

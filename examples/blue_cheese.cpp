@@ -37,8 +37,7 @@ int main() {
               static_cast<unsigned long long>(kRows));
   std::printf("%-6s %-7s %-6s %s\n", "tick", "live", "spots", "time axis");
   for (int tick = 0; tick <= 280; ++tick) {
-    DecayContext ctx(&cheese, tick);
-    egi.Tick(ctx);
+    RunDecayTick(cheese, egi, tick, /*tick_index=*/tick, nullptr);
     cheese.ReclaimDeadSegments();
     if (tick % 20 == 0) {
       RotStructure rot = AnalyzeRot(cheese);

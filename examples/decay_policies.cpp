@@ -38,13 +38,10 @@ int main() {
   // Policy 2: whatever else happens, the table may not exceed 1 MiB.
   auto quota = std::make_unique<QuotaFungus>(1 << 20);
 
-  std::vector<std::unique_ptr<Fungus>> policies;
-  policies.push_back(std::move(semantic));
-  policies.push_back(std::move(quota));
-  db.AttachFungus("logs",
-                  std::make_unique<CompositeFungus>(std::move(policies)),
-                  /*period=*/kMinute)
-      .value();
+  // Two attachments on one table tick in attachment order at equal
+  // times, so the quota sees what the semantic fungus left.
+  db.AttachFungus("logs", std::move(semantic), /*period=*/kMinute).value();
+  db.AttachFungus("logs", std::move(quota), /*period=*/kMinute).value();
 
   // Two days of logs: mostly DEBUG noise, occasional slow ERRORs.
   Rng rng(2026);

@@ -57,20 +57,20 @@ void ThreadPool::ParallelFor(size_t n,
   // One helper per worker, capped so no helper can start with nothing
   // left to claim.
   const size_t helpers = std::min(workers_.size(), n - 1);
-  std::atomic<size_t> remaining{helpers};
+  // The join state lives on this frame. Helpers touch it only while
+  // holding done_mu, and this frame returns only after it has held
+  // done_mu and seen remaining == 0 — so the last helper has released
+  // the mutex for good before done_mu and done_cv are destroyed.
   Mutex done_mu;
   CondVar done_cv;
+  size_t remaining = helpers;  // guarded by done_mu
   {
     MutexLock lock(mu_);
     for (size_t h = 0; h < helpers; ++h) {
       queue_.emplace_back([&] {
         ParallelForDrive(cursor, n, fn);
-        if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          // Lock/unlock pairs with the coordinator's wait-loop check so
-          // the notify cannot be lost between its test and its wait.
-          MutexLock done_lock(done_mu);
-          done_cv.NotifyOne();
-        }
+        MutexLock done_lock(done_mu);
+        if (--remaining == 0) done_cv.NotifyOne();
       });
     }
   }
@@ -79,9 +79,7 @@ void ThreadPool::ParallelFor(size_t n,
   const auto wait_start = std::chrono::steady_clock::now();
   {
     MutexLock done_lock(done_mu);
-    while (remaining.load(std::memory_order_acquire) != 0) {
-      done_cv.Wait(done_mu);
-    }
+    while (remaining != 0) done_cv.Wait(done_mu);
   }
   barrier_wait_micros_ += static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(

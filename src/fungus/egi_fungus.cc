@@ -1,15 +1,13 @@
 #include "fungus/egi_fungus.h"
 
 #include <cassert>
-#include <cmath>
 #include <vector>
 
 #include "common/string_util.h"
 
 namespace fungusdb {
 
-EgiFungus::EgiFungus(Params params)
-    : params_(params), rng_(params.rng_seed) {
+EgiFungus::EgiFungus(Params params) : params_(params) {
   assert(params_.seeds_per_tick >= 0.0);
   assert(params_.decay_step > 0.0 && params_.decay_step <= 1.0);
   assert(params_.spread_probability >= 0.0 &&
@@ -17,96 +15,7 @@ EgiFungus::EgiFungus(Params params)
   assert(params_.age_bias >= 1.0);
 }
 
-std::optional<RowId> EgiFungus::SampleSeed(const Table& table) {
-  const std::optional<RowId> lo = table.OldestLive();
-  const std::optional<RowId> hi = table.NewestLive();
-  if (!lo.has_value()) return std::nullopt;
-  const RowId span = *hi - *lo + 1;
-  // Rejection-sample an age-biased position on the time axis. Row ids
-  // are insertion-ordered, so position == age rank. u^bias skews the
-  // draw toward 0 (the oldest end).
-  RowId candidate = *lo;
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    const double u = std::pow(rng_.NextDouble(), params_.age_bias);
-    candidate = *lo + static_cast<RowId>(u * static_cast<double>(span));
-    if (candidate > *hi) candidate = *hi;
-    if (table.IsLive(candidate)) return candidate;
-  }
-  // Dense dead regions: snap to the nearest live tuple instead.
-  std::optional<RowId> next = table.NextLive(candidate);
-  if (next.has_value()) return next;
-  return table.PrevLive(candidate);
-}
-
-void EgiFungus::Tick(DecayContext& ctx) {
-  Table& table = ctx.table();
-
-  // Phase 1: seed new infections, age-biased.
-  int seeds = static_cast<int>(params_.seeds_per_tick);
-  const double frac = params_.seeds_per_tick - seeds;
-  if (rng_.NextBernoulli(frac)) ++seeds;
-  for (int i = 0; i < seeds; ++i) {
-    std::optional<RowId> seed = SampleSeed(table);
-    if (!seed.has_value()) break;
-    if (infected_.insert(*seed).second) ctx.NoteSeed();
-  }
-
-  // Phase 2: spread to direct neighbours along the time axis, then decay
-  // every infected tuple at equal rate. Spreading is computed against a
-  // snapshot so freshly infected neighbours start decaying next tick.
-  std::vector<RowId> frontier(infected_.begin(), infected_.end());
-  for (RowId row : frontier) {
-    if (params_.spread_probability > 0.0) {
-      if (rng_.NextBernoulli(params_.spread_probability)) {
-        const std::optional<RowId> prev = table.PrevLive(row);
-        if (prev.has_value()) infected_.insert(*prev);
-      }
-      if (rng_.NextBernoulli(params_.spread_probability)) {
-        const std::optional<RowId> next = table.NextLive(row);
-        if (next.has_value()) infected_.insert(*next);
-      }
-    }
-  }
-  for (auto it = infected_.begin(); it != infected_.end();) {
-    const RowId row = *it;
-    if (!table.IsLive(row)) {
-      // Died earlier (another fungus, a consuming query, or last tick);
-      // the rot boundary lives on in the infected neighbours.
-      it = infected_.erase(it);
-      continue;
-    }
-    ctx.Decay(row, params_.decay_step);
-    if (!table.IsLive(row)) {
-      it = infected_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-std::optional<RowId> EgiFungus::SampleSeedInShard(const Shard& shard,
-                                                 Rng& rng) {
-  const std::optional<RowId> lo = shard.OldestLive();
-  const std::optional<RowId> hi = shard.NewestLive();
-  if (!lo.has_value()) return std::nullopt;
-  const RowId span = *hi - *lo + 1;
-  // Same age-biased rejection sampling as the serial path, but over the
-  // shard's own row range; candidates landing in a gap (a row owned by
-  // another shard, or a dead stretch) are rejected or snapped to the
-  // nearest live row of THIS shard.
-  RowId candidate = *lo;
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    const double u = std::pow(rng.NextDouble(), params_.age_bias);
-    candidate = *lo + static_cast<RowId>(u * static_cast<double>(span));
-    if (candidate > *hi) candidate = *hi;
-    if (shard.IsLive(candidate)) return candidate;
-  }
-  std::optional<RowId> next = shard.NextLiveInShard(candidate);
-  if (next.has_value()) return next;
-  return shard.PrevLiveInShard(candidate);
-}
-
-void EgiFungus::BeginShardedTick(const Table& table, Timestamp now) {
+void EgiFungus::BeginTick(const Table& table, Timestamp now) {
   (void)now;
   if (shard_states_.size() != table.num_shards()) {
     shard_states_.assign(table.num_shards(), ShardState{});
@@ -122,13 +31,11 @@ void EgiFungus::PlanShard(ShardPlanContext& ctx) {
   // Phase 1: seed new infections, age-biased within the shard. The
   // table-wide expected seeding rate is preserved by splitting it evenly
   // across shards (fractional share resolved by Bernoulli draw).
-  const double expected =
-      params_.seeds_per_tick / static_cast<double>(table.num_shards());
-  int seeds = static_cast<int>(expected);
-  const double frac = expected - seeds;
-  if (rng.NextBernoulli(frac)) ++seeds;
-  for (int i = 0; i < seeds; ++i) {
-    std::optional<RowId> seed = SampleSeedInShard(ctx.shard(), rng);
+  const uint64_t seeds =
+      ShardShare(params_.seeds_per_tick, table.num_shards(), rng);
+  for (uint64_t i = 0; i < seeds; ++i) {
+    std::optional<RowId> seed =
+        SampleLiveRowInShard(ctx.shard(), rng, params_.age_bias);
     if (!seed.has_value()) break;
     if (state.infected.insert(*seed).second) ctx.NoteSeed();
   }
@@ -152,14 +59,14 @@ void EgiFungus::PlanShard(ShardPlanContext& ctx) {
 
   // Phase 3: every infected tuple of this shard decays at equal rate.
   // Rows that died since last tick are skipped here and pruned in
-  // FinishShardedTick (planning must not mutate shared state).
+  // FinishTick (planning must not mutate shared state).
   for (RowId row : state.infected) {
     ctx.Decay(row, params_.decay_step);
   }
 }
 
-void EgiFungus::FinishShardedTick(const Table& table,
-                                  const std::vector<RowId>& killed) {
+void EgiFungus::FinishTick(const Table& table,
+                           const std::vector<RowId>& killed) {
   (void)killed;
   // Prune dead tuples from the infection sets (killed this tick by the
   // applied plans, or earlier by other fungi / consuming queries); the
@@ -184,8 +91,8 @@ void EgiFungus::FinishShardedTick(const Table& table,
   }
 }
 
-std::set<RowId> EgiFungus::AllInfected() const {
-  std::set<RowId> all = infected_;
+std::set<RowId> EgiFungus::infected() const {
+  std::set<RowId> all;
   for (const ShardState& state : shard_states_) {
     all.insert(state.infected.begin(), state.infected.end());
   }
@@ -199,10 +106,6 @@ std::string EgiFungus::Describe() const {
          ", age_bias=" + FormatDouble(params_.age_bias, 1) + ")";
 }
 
-void EgiFungus::Reset() {
-  infected_.clear();
-  shard_states_.clear();
-  rng_ = Rng(params_.rng_seed);
-}
+void EgiFungus::Reset() { shard_states_.clear(); }
 
 }  // namespace fungusdb

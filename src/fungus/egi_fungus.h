@@ -1,11 +1,10 @@
 #ifndef FUNGUSDB_FUNGUS_EGI_FUNGUS_H_
 #define FUNGUSDB_FUNGUS_EGI_FUNGUS_H_
 
-#include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
-#include "common/random.h"
 #include "fungus/fungus.h"
 
 namespace fungusdb {
@@ -51,12 +50,9 @@ class EgiFungus : public Fungus {
   explicit EgiFungus(Params params);
 
   std::string_view name() const override { return "egi"; }
-  void Tick(DecayContext& ctx) override;
   std::string Describe() const override;
   void Reset() override;
 
-  // --- Sharded tick. ---
-  //
   // Each shard keeps its own infection set and plans with an RNG stream
   // derived from (rng_seed, tick, shard), so outcomes depend on the
   // shard count but never on the thread count. Seeding draws an
@@ -66,26 +62,22 @@ class EgiFungus : public Fungus {
   // Spread looks up direct time-axis neighbours through the *global*
   // table — safe because planning is read-only — and routes every spread
   // target (own-shard or foreign) through a per-shard outbox that
-  // FinishShardedTick merges after the barrier, so neighbour infection
-  // crosses shard boundaries and newly spread-to tuples start decaying
-  // on the next tick.
-  bool SupportsShardedTick() const override { return true; }
-  void BeginShardedTick(const Table& table, Timestamp now) override;
+  // FinishTick merges after the barrier, so neighbour infection crosses
+  // shard boundaries and newly spread-to tuples start decaying on the
+  // next tick.
+  void BeginTick(const Table& table, Timestamp now) override;
   void PlanShard(ShardPlanContext& ctx) override;
-  void FinishShardedTick(const Table& table,
-                         const std::vector<RowId>& killed) override;
+  void FinishTick(const Table& table,
+                  const std::vector<RowId>& killed) override;
 
   const Params& params() const { return params_; }
 
-  /// Currently infected, still-live tuples (exposed for tests and the
-  /// blue-cheese visualizer). Serial-tick state only.
-  const std::set<RowId>& infected() const { return infected_; }
-
-  /// Infected tuples across serial and per-shard state (merged).
-  std::set<RowId> AllInfected() const;
+  /// Currently infected, still-live tuples across all shards (exposed
+  /// for tests and the blue-cheese visualizer).
+  std::set<RowId> infected() const;
 
  private:
-  /// Per-shard infection bookkeeping for sharded ticks.
+  /// Per-shard infection bookkeeping.
   struct ShardState {
     std::set<RowId> infected;
     // Spread targets discovered while planning (any shard's rows);
@@ -93,15 +85,7 @@ class EgiFungus : public Fungus {
     std::vector<RowId> outbox;
   };
 
-  /// Draws one live row, age-biased; nullopt when the table is empty.
-  std::optional<RowId> SampleSeed(const Table& table);
-
-  /// Shard-local variant: age-biased draw over the shard's own rows.
-  std::optional<RowId> SampleSeedInShard(const Shard& shard, Rng& rng);
-
   Params params_;
-  Rng rng_;
-  std::set<RowId> infected_;
   std::vector<ShardState> shard_states_;
 };
 

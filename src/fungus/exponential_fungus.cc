@@ -23,22 +23,7 @@ ExponentialFungus::Params ExponentialFungus::FromHalfLife(
   return p;
 }
 
-void ExponentialFungus::Tick(DecayContext& ctx) {
-  const Timestamp now = ctx.now();
-  const double dt_seconds =
-      static_cast<double>(now - last_tick_) / static_cast<double>(kSecond);
-  last_tick_ = now;
-  if (dt_seconds <= 0.0) return;
-  const double factor = std::exp(-params_.lambda_per_second * dt_seconds);
-  Table& table = ctx.table();
-  table.ForEachLive([&](RowId row) {
-    const double f = table.Freshness(row) * factor;
-    ctx.SetFreshness(row, f <= params_.kill_threshold ? 0.0 : f);
-  });
-}
-
-void ExponentialFungus::BeginShardedTick(const Table& table,
-                                         Timestamp now) {
+void ExponentialFungus::BeginTick(const Table& table, Timestamp now) {
   (void)table;
   const double dt_seconds =
       static_cast<double>(now - last_tick_) / static_cast<double>(kSecond);

@@ -13,6 +13,10 @@ namespace fungusdb {
 /// below `kill_threshold` (pure exponential decay never reaches zero).
 ///
 /// Half-life relation: half_life = ln(2) / lambda.
+///
+/// Uniform decay is embarrassingly partitionable: every shard applies
+/// the same multiplicative factor to its own rows, so outcomes are
+/// identical for any shard count.
 class ExponentialFungus : public Fungus {
  public:
   struct Params {
@@ -33,16 +37,10 @@ class ExponentialFungus : public Fungus {
                                                 Timestamp start_time = 0);
 
   std::string_view name() const override { return "exponential"; }
-  void Tick(DecayContext& ctx) override;
+  void BeginTick(const Table& table, Timestamp now) override;
+  void PlanShard(ShardPlanContext& ctx) override;
   std::string Describe() const override;
   void Reset() override;
-
-  /// Uniform decay is embarrassingly partitionable: every shard applies
-  /// the same multiplicative factor to its own rows. Outcomes are
-  /// identical to the serial Tick for any shard count.
-  bool SupportsShardedTick() const override { return true; }
-  void BeginShardedTick(const Table& table, Timestamp now) override;
-  void PlanShard(ShardPlanContext& ctx) override;
 
   const Params& params() const { return params_; }
 

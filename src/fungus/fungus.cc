@@ -1,6 +1,7 @@
 #include "fungus/fungus.h"
 
 #include <cassert>
+#include <cmath>
 
 namespace fungusdb {
 
@@ -19,9 +20,9 @@ void ShardPlanContext::Record(RowId row, ShardAction::Op op,
                               double amount) {
   assert(table_->ShardIdOf(row) == shard_id_ &&
          "planned action targets a foreign shard");
-  // Rows dead at plan time stay untouched (matches DecayContext, which
-  // silently ignores dead rows). Liveness is stable during planning —
-  // nothing mutates the table until every planner passed the barrier.
+  // Rows dead at plan time stay untouched. Liveness is stable during
+  // planning — nothing mutates the table until every planner passed the
+  // barrier.
   if (!table_->shard(shard_id_).IsLive(row)) return;
   plan_.actions.push_back(ShardAction{row, op, amount});
 }
@@ -56,54 +57,33 @@ void ShardPlanContext::DecaySegmentUniform(uint64_t seg_no,
   }
 }
 
-DecayContext::DecayContext(Table* table, Timestamp now)
-    : table_(table), now_(now) {}
-
-void DecayContext::Decay(RowId row, double delta) {
-  if (!table_->IsLive(row)) return;
-  ++stats_.tuples_touched;
-  const uint64_t killed_before = table_->rows_killed();
-  // Cannot fail for live rows; a failure means storage invariants broke.
-  FUNGUSDB_CHECK_OK(table_->DecayFreshness(row, delta));
-  if (table_->rows_killed() > killed_before) {
-    killed_.push_back(row);
-    ++stats_.tuples_killed;
+std::optional<RowId> SampleLiveRowInShard(const Shard& shard, Rng& rng,
+                                          double age_bias) {
+  const std::optional<RowId> lo = shard.OldestLive();
+  const std::optional<RowId> hi = shard.NewestLive();
+  if (!lo.has_value()) return std::nullopt;
+  const RowId span = *hi - *lo + 1;
+  // Row ids are insertion-ordered, so position == age rank; u^bias skews
+  // the draw toward 0 (the oldest end). Candidates landing in a gap (a
+  // row owned by another shard, or a dead stretch) are rejected, and
+  // after 64 misses snapped to the nearest live row of THIS shard.
+  RowId candidate = *lo;
+  for (int attempt = 0; attempt < 64; ++attempt) {
+    const double u = std::pow(rng.NextDouble(), age_bias);
+    candidate = *lo + static_cast<RowId>(u * static_cast<double>(span));
+    if (candidate > *hi) candidate = *hi;
+    if (shard.IsLive(candidate)) return candidate;
   }
+  std::optional<RowId> next = shard.NextLiveInShard(candidate);
+  if (next.has_value()) return next;
+  return shard.PrevLiveInShard(candidate);
 }
 
-void DecayContext::SetFreshness(RowId row, double f) {
-  if (!table_->IsLive(row)) return;
-  ++stats_.tuples_touched;
-  const uint64_t killed_before = table_->rows_killed();
-  FUNGUSDB_CHECK_OK(table_->SetFreshness(row, f));
-  if (table_->rows_killed() > killed_before) {
-    killed_.push_back(row);
-    ++stats_.tuples_killed;
-  }
-}
-
-void DecayContext::Kill(RowId row) {
-  if (!table_->IsLive(row)) return;
-  ++stats_.tuples_touched;
-  FUNGUSDB_CHECK_OK(table_->Kill(row));
-  killed_.push_back(row);
-  ++stats_.tuples_killed;
-}
-
-void DecayContext::DecaySegmentUniform(uint64_t seg_no, const Segment& seg,
-                                       double delta) {
-  if (table_->TryFoldUniformDecay(seg_no, delta)) {
-    // The fold's no-death proof covers exactly the live rows, so the
-    // eager path would have touched live_count() rows and killed none —
-    // count the same, keeping stats mode-independent.
-    stats_.tuples_touched += seg.live_count();
-    ++stats_.segments_folded;
-    return;
-  }
-  const size_t n = seg.num_rows();
-  for (size_t off = 0; off < n; ++off) {
-    if (seg.IsLive(off)) Decay(seg.first_row() + off, delta);
-  }
+uint64_t ShardShare(double per_tick, size_t num_shards, Rng& rng) {
+  const double expected = per_tick / static_cast<double>(num_shards);
+  uint64_t share = static_cast<uint64_t>(expected);
+  if (rng.NextBernoulli(expected - static_cast<double>(share))) ++share;
+  return share;
 }
 
 }  // namespace fungusdb

@@ -2,6 +2,7 @@
 #define FUNGUSDB_FUNGUS_FUNGUS_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,56 +37,6 @@ struct DecayStats {
   }
 };
 
-/// Mutation interface handed to a fungus during one tick. All freshness
-/// changes flow through the context so the scheduler can observe which
-/// tuples died this tick (their attribute values remain readable until
-/// segment reclamation — that window is where the Kitchen cooks them).
-class DecayContext {
- public:
-  DecayContext(Table* table, Timestamp now);
-
-  Table& table() { return *table_; }
-  const Table& table() const { return *table_; }
-  Timestamp now() const { return now_; }
-
-  /// Decreases freshness by `delta` >= 0; the tuple dies at 0.
-  /// Silently ignores rows that are already dead or reclaimed.
-  void Decay(RowId row, double delta);
-
-  /// Sets freshness outright (clamped to [0, 1]; 0 kills).
-  void SetFreshness(RowId row, double f);
-
-  /// Kills the tuple immediately.
-  void Kill(RowId row);
-
-  /// Decreases every live row of segment `seg_no` by the same `delta`,
-  /// none of which can die from it. Folds the decrement as segment
-  /// metadata when the table allows it (lazy decay on and the segment
-  /// proves no death possible — DESIGN.md §14), otherwise decays row by
-  /// row; observable state is bit-identical either way. A fungus must
-  /// not mix this with per-row ops against the same segment in one tick.
-  void DecaySegmentUniform(uint64_t seg_no, const Segment& seg,
-                           double delta);
-
-  /// Records a seed planted (bookkeeping only).
-  void NoteSeed() { ++stats_.seeds_planted; }
-
-  /// Records one segment bypassed whole because its zone map proved the
-  /// tick cannot change it (bookkeeping only).
-  void NoteSegmentSkipped() { ++stats_.segments_skipped; }
-
-  /// Tuples killed during this tick, in kill order.
-  const std::vector<RowId>& killed() const { return killed_; }
-
-  const DecayStats& stats() const { return stats_; }
-
- private:
-  Table* table_;
-  Timestamp now_;
-  std::vector<RowId> killed_;
-  DecayStats stats_;
-};
-
 /// One planned freshness action against a row of a single shard,
 /// recorded during the read-only planning phase of a parallel tick and
 /// applied by the scheduler after the barrier.
@@ -113,16 +64,17 @@ struct ShardPlan {
   uint64_t segments_skipped = 0;  // segments bypassed via zone maps
 };
 
-/// Planning context for one (tick, shard) pair of a parallel decay tick.
+/// Planning context for one (tick, shard) pair of a decay tick.
 ///
-/// The sharded tick is a strict two-phase protocol: during planning the
-/// whole table is frozen — PlanShard may *read* any shard (so EGI can
-/// look across shard boundaries for time-axis neighbours) but records
-/// mutations here instead of applying them, and may only target rows of
-/// its own shard (cross-shard effects go through fungus-private state
-/// merged in FinishShardedTick). After a barrier the scheduler applies
-/// every shard's plan with one worker per shard, so writes are disjoint
-/// and outcomes are independent of thread count by construction.
+/// Every tick is a strict two-phase protocol, at any shard count: during
+/// planning the whole table is frozen — PlanShard may *read* any shard
+/// (so EGI can look across shard boundaries for time-axis neighbours)
+/// but records mutations here instead of applying them, and may only
+/// target rows of its own shard (cross-shard effects go through
+/// fungus-private state merged in FinishTick). After a barrier the tick
+/// applies every shard's plan with one worker per shard, so writes are
+/// disjoint and outcomes are independent of thread count by
+/// construction. A 1-shard table is simply one plan.
 class ShardPlanContext {
  public:
   ShardPlanContext(const Table* table, uint32_t shard_id, Timestamp now,
@@ -142,8 +94,9 @@ class ShardPlanContext {
   uint64_t StreamSeed(uint64_t base_seed) const;
 
   /// Plans a freshness decrease by `delta` >= 0 (dies at 0).
-  /// Ignores rows that are dead at plan time. `row` must belong to this
-  /// shard.
+  /// Ignores rows that are dead at plan time; a row killed by an earlier
+  /// action of the same plan is skipped at apply time. `row` must belong
+  /// to this shard.
   void Decay(RowId row, double delta);
 
   /// Plans setting freshness outright (clamped to [0, 1]; 0 kills).
@@ -155,9 +108,9 @@ class ShardPlanContext {
   /// Plans a uniform decrement over every live row of segment `seg_no`
   /// (which must belong to this shard). Folds when the table allows it,
   /// otherwise expands into per-row Decay actions — the apply phase
-  /// then produces bit-identical state either way. Same contract as
-  /// DecayContext::DecaySegmentUniform: no mixing with per-row ops
-  /// against the same segment in one tick.
+  /// then produces bit-identical state either way (DESIGN.md §14). A
+  /// fungus must not mix this with per-row ops against the same segment
+  /// in one tick.
   void DecaySegmentUniform(uint64_t seg_no, const Segment& seg,
                            double delta);
 
@@ -180,11 +133,34 @@ class ShardPlanContext {
   ShardPlan plan_;
 };
 
+/// Age-biased draw of one live row of `shard`: a position u^age_bias
+/// scaled over the shard's live row-id range (age_bias >= 1; 1.0 is
+/// uniform, larger values favour older rows), rejection-sampled onto a
+/// live row of this shard and snapped to the nearest one after 64
+/// misses. nullopt when the shard has no live row.
+std::optional<RowId> SampleLiveRowInShard(const Shard& shard, Rng& rng,
+                                          double age_bias);
+
+/// One shard's share of `per_tick` (>= 0) table-wide events, e.g. EGI
+/// seeds: per_tick / num_shards, whose fractional part becomes one more
+/// event with that probability (one Bernoulli draw from `rng`).
+uint64_t ShardShare(double per_tick, size_t num_shards, Rng& rng);
+
 /// A data fungus: the decay operator applied to a relation on each tick
 /// of the periodic clock `T` (the paper's first natural law). A fungus
 /// decides *what* to decay, *how*, and at what *rate*; the Table enforces
 /// that freshness only moves downward through fungi and that tuples are
 /// discarded exactly when freshness reaches zero.
+///
+/// A fungus never writes to the table. Each tick (RunDecayTick in
+/// fungus/scheduler.h) calls BeginTick (serial), then PlanShard once per
+/// shard (possibly concurrently), applies the recorded plans (one worker
+/// per shard), and ends with FinishTick (serial, receiving the tick's
+/// merged death list in insertion order). PlanShard must be read-only
+/// apart from the context and state keyed by its own shard id; any RNG
+/// use must flow through streams derived from
+/// ShardPlanContext::StreamSeed so outcomes depend only on the
+/// (seed, tick, shard) triple, never on thread scheduling.
 ///
 /// Implementations may keep per-table state (e.g. EGI's infection set)
 /// but must tolerate tuples dying or being reclaimed between ticks.
@@ -198,37 +174,19 @@ class Fungus {
   /// Stable identifier, e.g. "egi", "retention".
   virtual std::string_view name() const = 0;
 
-  /// Applies one decay step at ctx.now().
-  virtual void Tick(DecayContext& ctx) = 0;
-
-  // --- Sharded (parallel) tick protocol. ---
-  //
-  // When SupportsShardedTick() is true and the table has more than one
-  // shard, the scheduler runs BeginShardedTick (serial), then PlanShard
-  // once per shard (possibly concurrently), applies the recorded plans
-  // (one worker per shard), and finishes with FinishShardedTick (serial,
-  // receiving the tick's merged death list in insertion order).
-  // PlanShard must be read-only apart from the context and state keyed
-  // by its own shard id; any RNG use must flow through streams derived
-  // from ShardPlanContext::StreamSeed so outcomes depend only on the
-  // (seed, tick, shard) triple, never on thread scheduling.
-
-  /// True when the fungus implements the per-shard planning protocol.
-  virtual bool SupportsShardedTick() const { return false; }
-
   /// Serial prologue: compute whole-tick values, size per-shard state.
-  virtual void BeginShardedTick(const Table& table, Timestamp now) {
+  virtual void BeginTick(const Table& table, Timestamp now) {
     (void)table;
     (void)now;
   }
 
   /// Plans one shard's share of the tick (see class comment above).
-  virtual void PlanShard(ShardPlanContext& ctx) { (void)ctx; }
+  virtual void PlanShard(ShardPlanContext& ctx) = 0;
 
   /// Serial epilogue after all plans were applied; `killed` holds every
   /// row that died this tick, sorted by RowId (== insertion order).
-  virtual void FinishShardedTick(const Table& table,
-                                 const std::vector<RowId>& killed) {
+  virtual void FinishTick(const Table& table,
+                          const std::vector<RowId>& killed) {
     (void)table;
     (void)killed;
   }

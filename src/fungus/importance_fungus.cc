@@ -12,9 +12,9 @@ ImportanceFungus::ImportanceFungus(Params params) : params_(params) {
   assert(params_.access_weight >= 0.0);
 }
 
-void ImportanceFungus::Tick(DecayContext& ctx) {
-  Table& table = ctx.table();
-  table.ForEachLive([&](RowId row) {
+void ImportanceFungus::PlanShard(ShardPlanContext& ctx) {
+  const Table& table = ctx.table();
+  ctx.shard().ForEachLive([&](RowId row) {
     const uint32_t accesses = table.AccessCount(row);
     const double protection =
         1.0 + params_.access_weight * std::log2(1.0 + accesses);

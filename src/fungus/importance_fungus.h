@@ -29,7 +29,7 @@ class ImportanceFungus : public Fungus {
   explicit ImportanceFungus(Params params);
 
   std::string_view name() const override { return "importance"; }
-  void Tick(DecayContext& ctx) override;
+  void PlanShard(ShardPlanContext& ctx) override;
   std::string Describe() const override;
 
   const Params& params() const { return params_; }

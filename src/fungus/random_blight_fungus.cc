@@ -6,33 +6,19 @@
 
 namespace fungusdb {
 
-RandomBlightFungus::RandomBlightFungus(Params params)
-    : params_(params), rng_(params.rng_seed) {
+RandomBlightFungus::RandomBlightFungus(Params params) : params_(params) {
   assert(params_.decay_step > 0.0 && params_.decay_step <= 1.0);
 }
 
-void RandomBlightFungus::Tick(DecayContext& ctx) {
-  Table& table = ctx.table();
-  const std::optional<RowId> lo = table.OldestLive();
-  const std::optional<RowId> hi = table.NewestLive();
-  if (!lo.has_value()) return;
-  const RowId span = *hi - *lo + 1;
-  for (uint64_t i = 0; i < params_.tuples_per_tick; ++i) {
-    // Uniform rejection sampling over the live id range.
-    std::optional<RowId> pick;
-    for (int attempt = 0; attempt < 64; ++attempt) {
-      const RowId candidate = *lo + rng_.NextBounded(span);
-      if (table.IsLive(candidate)) {
-        pick = candidate;
-        break;
-      }
-    }
-    if (!pick.has_value()) {
-      // Sparse table: snap to a live neighbour of a random position.
-      pick = table.NextLive(*lo + rng_.NextBounded(span));
-      if (!pick.has_value()) pick = table.OldestLive();
-      if (!pick.has_value()) return;
-    }
+void RandomBlightFungus::PlanShard(ShardPlanContext& ctx) {
+  Rng rng(ctx.StreamSeed(params_.rng_seed));
+  const uint64_t picks =
+      ShardShare(static_cast<double>(params_.tuples_per_tick),
+                 ctx.table().num_shards(), rng);
+  for (uint64_t i = 0; i < picks; ++i) {
+    const std::optional<RowId> pick =
+        SampleLiveRowInShard(ctx.shard(), rng, /*age_bias=*/1.0);
+    if (!pick.has_value()) return;
     ctx.Decay(*pick, params_.decay_step);
   }
 }
@@ -41,7 +27,5 @@ std::string RandomBlightFungus::Describe() const {
   return "random_blight(n=" + std::to_string(params_.tuples_per_tick) +
          "/tick, step=" + FormatDouble(params_.decay_step, 3) + ")";
 }
-
-void RandomBlightFungus::Reset() { rng_ = Rng(params_.rng_seed); }
 
 }  // namespace fungusdb

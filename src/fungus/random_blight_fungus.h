@@ -1,10 +1,8 @@
 #ifndef FUNGUSDB_FUNGUS_RANDOM_BLIGHT_FUNGUS_H_
 #define FUNGUSDB_FUNGUS_RANDOM_BLIGHT_FUNGUS_H_
 
-#include <optional>
 #include <string>
 
-#include "common/random.h"
 #include "fungus/fungus.h"
 
 namespace fungusdb {
@@ -14,6 +12,11 @@ namespace fungusdb {
 /// age bias. Under this fungus dead tuples are scattered — it produces no
 /// contiguous rotting spots, which is exactly what experiment F2 contrasts
 /// against the Blue-Cheese pattern of EGI.
+///
+/// Each shard draws its share (tuples_per_tick / num_shards, fractional
+/// part by Bernoulli draw) from its own per-(tick, shard) stream, using
+/// EGI's in-shard sampler at age bias 1.0. A tuple picked twice in one
+/// tick decays twice.
 class RandomBlightFungus : public Fungus {
  public:
   struct Params {
@@ -29,15 +32,13 @@ class RandomBlightFungus : public Fungus {
   explicit RandomBlightFungus(Params params);
 
   std::string_view name() const override { return "random_blight"; }
-  void Tick(DecayContext& ctx) override;
+  void PlanShard(ShardPlanContext& ctx) override;
   std::string Describe() const override;
-  void Reset() override;
 
   const Params& params() const { return params_; }
 
  private:
   Params params_;
-  Rng rng_;
 };
 
 }  // namespace fungusdb

@@ -5,10 +5,7 @@
 namespace fungusdb {
 namespace {
 
-/// Decays one segment under a fixed retention. Shared verbatim by the
-/// serial Tick and the per-shard planner (`Ctx` is DecayContext or
-/// ShardPlanContext) so both paths take identical skip decisions and
-/// produce identical stats — the determinism contract of sharded ticks.
+/// Plans the decay of one segment under a fixed retention.
 ///
 /// Zone-map skips, cheapest first:
 ///  * live_count == 0 — nothing left to decay;
@@ -25,10 +22,9 @@ namespace {
 /// now - prev_tick — one uniform decrement, the foldable shape.
 /// Everything else (first tick, segments with rows newer than the
 /// previous tick) takes the formula pass.
-template <typename Ctx>
-void TickSegment(uint64_t seg_no, const Segment& seg, Timestamp now,
+void PlanSegment(uint64_t seg_no, const Segment& seg, Timestamp now,
                  Duration retention, std::optional<Timestamp> prev_tick,
-                 Ctx& ctx) {
+                 ShardPlanContext& ctx) {
   if (seg.live_count() == 0) {
     ctx.NoteSegmentSkipped();
     return;
@@ -73,21 +69,7 @@ RetentionFungus::RetentionFungus(Duration retention) : retention_(retention) {
   assert(retention > 0);
 }
 
-void RetentionFungus::Tick(DecayContext& ctx) {
-  const Timestamp now = ctx.now();
-  Table& table = ctx.table();
-  const std::optional<Timestamp> prev = last_tick_;
-  last_tick_ = now;
-  // Freshness under retention is the remaining-life fraction; at or past
-  // the retention age it hits 0 and the tuple is discarded. Killing and
-  // freshness updates only flip per-row state, so mutating during the
-  // segment walk is safe (the segment map itself is untouched).
-  for (const auto& [seg_no, seg] : table.segment_index()) {
-    TickSegment(seg_no, *seg, now, retention_, prev, ctx);
-  }
-}
-
-void RetentionFungus::BeginShardedTick(const Table& table, Timestamp now) {
+void RetentionFungus::BeginTick(const Table& table, Timestamp now) {
   (void)table;
   plan_prev_tick_ = last_tick_;
   last_tick_ = now;
@@ -97,7 +79,7 @@ void RetentionFungus::PlanShard(ShardPlanContext& ctx) {
   const Timestamp now = ctx.now();
   const Shard& shard = ctx.shard();
   for (const auto& [seg_no, seg] : shard.segments()) {
-    TickSegment(seg_no, *seg, now, retention_, plan_prev_tick_, ctx);
+    PlanSegment(seg_no, *seg, now, retention_, plan_prev_tick_, ctx);
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 
 #include "common/trace.h"
 
@@ -13,6 +14,62 @@ int64_t SteadyMicros() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
+
+/// Applies one shard's plan: folds first (the plan-time foldability
+/// proof assumes the segment is untouched since the barrier, and a
+/// planner never mixes a fold with row actions against the same
+/// segment), then row actions in plan order.
+void ApplyShardPlan(Shard& shard, const ShardPlan& plan,
+                    std::vector<RowId>* killed, DecayStats* stats) {
+  for (const ShardFold& fold : plan.folds) {
+    auto it = shard.segments().find(fold.seg_no);
+    if (it == shard.segments().end()) continue;
+    const uint64_t live = it->second->live_count();
+    if (shard.TryFoldUniformDecay(fold.seg_no, fold.delta)) {
+      stats->tuples_touched += live;
+      ++stats->segments_folded;
+    } else {
+      // Unreachable while the stability argument holds; decay row by
+      // row so a soft refusal still yields the planned state.
+      const Segment& seg = *it->second;
+      const size_t n = seg.num_rows();
+      for (size_t off = 0; off < n; ++off) {
+        if (!seg.IsLive(off)) continue;
+        const RowId row = seg.first_row() + off;
+        ++stats->tuples_touched;
+        FUNGUSDB_CHECK_OK(shard.DecayFreshness(row, fold.delta));
+        if (!shard.IsLive(row)) {
+          killed->push_back(row);
+          ++stats->tuples_killed;
+        }
+      }
+    }
+  }
+  for (const ShardAction& action : plan.actions) {
+    if (!shard.IsLive(action.row)) continue;  // killed earlier this plan
+    ++stats->tuples_touched;
+    // Rows were checked live under this plan, so the shard mutators
+    // cannot fail; a failure means the planner saw a different table.
+    switch (action.op) {
+      case ShardAction::Op::kDecay:
+        FUNGUSDB_CHECK_OK(shard.DecayFreshness(action.row, action.amount));
+        break;
+      case ShardAction::Op::kSet:
+        FUNGUSDB_CHECK_OK(shard.SetFreshness(action.row, action.amount));
+        break;
+      case ShardAction::Op::kKill:
+        FUNGUSDB_CHECK_OK(shard.Kill(action.row));
+        break;
+    }
+    if (!shard.IsLive(action.row)) {
+      killed->push_back(action.row);
+      ++stats->tuples_killed;
+    }
+  }
+  stats->seeds_planted = plan.seeds_planted;
+  stats->segments_skipped = plan.segments_skipped;
+}
+
 }  // namespace
 
 Result<DecayScheduler::AttachmentId> DecayScheduler::Attach(
@@ -46,129 +103,68 @@ void DecayScheduler::AddDeathObserver(DeathObserver observer) {
   observers_.push_back(std::move(observer));
 }
 
-std::vector<RowId> DecayScheduler::RunShardedTick(Attachment& a,
-                                                  Timestamp tick_time,
-                                                  DecayStats* tick_stats) {
-  Table& table = *a.table;
+DecayTick RunDecayTick(Table& table, Fungus& fungus, Timestamp now,
+                       uint64_t tick_index, ThreadPool* pool) {
   const size_t num_shards = table.num_shards();
-  const uint64_t tick_index = a.stats.ticks;
-  const uint64_t barrier_before =
-      pool_ != nullptr ? pool_->barrier_wait_micros() : 0;
+  auto for_each_shard = [&](const std::function<void(size_t)>& fn) {
+    if (pool != nullptr) {
+      pool->ParallelFor(num_shards, fn);
+    } else {
+      for (size_t s = 0; s < num_shards; ++s) fn(s);
+    }
+  };
+  // One tick == one decay epoch on every shard of the table; folds
+  // stamp the advanced value into the segments they cover.
+  table.AdvanceDecayEpochs();
+  const uint64_t materialized_before = table.rows_materialized();
 
-  a.fungus->BeginShardedTick(table, tick_time);
+  fungus.BeginTick(table, now);
 
   // Phase 1 — plan: read-only over the frozen table, one planner per
   // shard, mutations recorded instead of applied.
   std::vector<ShardPlan> plans(num_shards);
-  auto plan_one = [&](size_t s) {
-    FUNGUS_TRACE_SPAN("decay.plan.shard", s);
-    ShardPlanContext ctx(&table, static_cast<uint32_t>(s), tick_time,
-                         tick_index);
-    a.fungus->PlanShard(ctx);
-    plans[s] = ctx.TakePlan();
-  };
+  {
+    FUNGUS_TRACE_SPAN("decay.plan", num_shards);
+    for_each_shard([&](size_t s) {
+      FUNGUS_TRACE_SPAN("decay.plan.shard", s);
+      ShardPlanContext ctx(&table, static_cast<uint32_t>(s), now,
+                           tick_index);
+      fungus.PlanShard(ctx);
+      plans[s] = ctx.TakePlan();
+    });
+  }
 
   // Phase 2 — apply: each worker owns exactly one shard, so all writes
   // are disjoint; killed rows and stats accumulate per shard.
   std::vector<std::vector<RowId>> killed(num_shards);
   std::vector<DecayStats> stats(num_shards);
-  auto apply_one = [&](size_t s) {
-    FUNGUS_TRACE_SPAN("decay.apply.shard", s);
-    Shard& shard = table.shard(s);
-    // Folds first: the plan-time foldability proof assumes the segment
-    // is untouched since the barrier, and the planner never mixes a
-    // fold with row actions against the same segment.
-    for (const ShardFold& fold : plans[s].folds) {
-      auto it = shard.segments().find(fold.seg_no);
-      if (it == shard.segments().end()) continue;
-      const uint64_t live = it->second->live_count();
-      if (shard.TryFoldUniformDecay(fold.seg_no, fold.delta)) {
-        stats[s].tuples_touched += live;
-        ++stats[s].segments_folded;
-      } else {
-        // Unreachable while the stability argument holds; decay row by
-        // row so a soft refusal still yields the planned state.
-        const Segment& seg = *it->second;
-        const size_t n = seg.num_rows();
-        for (size_t off = 0; off < n; ++off) {
-          if (!seg.IsLive(off)) continue;
-          const RowId row = seg.first_row() + off;
-          ++stats[s].tuples_touched;
-          FUNGUSDB_CHECK_OK(shard.DecayFreshness(row, fold.delta));
-          if (!shard.IsLive(row)) {
-            killed[s].push_back(row);
-            ++stats[s].tuples_killed;
-          }
-        }
-      }
-    }
-    for (const ShardAction& action : plans[s].actions) {
-      if (!shard.IsLive(action.row)) continue;  // killed earlier this plan
-      ++stats[s].tuples_touched;
-      // Rows were checked live under this plan, so the shard mutators
-      // cannot fail; a failure means the planner saw a different table.
-      switch (action.op) {
-        case ShardAction::Op::kDecay:
-          FUNGUSDB_CHECK_OK(shard.DecayFreshness(action.row, action.amount));
-          break;
-        case ShardAction::Op::kSet:
-          FUNGUSDB_CHECK_OK(shard.SetFreshness(action.row, action.amount));
-          break;
-        case ShardAction::Op::kKill:
-          FUNGUSDB_CHECK_OK(shard.Kill(action.row));
-          break;
-      }
-      if (!shard.IsLive(action.row)) {
-        killed[s].push_back(action.row);
-        ++stats[s].tuples_killed;
-      }
-    }
-    stats[s].seeds_planted = plans[s].seeds_planted;
-    stats[s].segments_skipped = plans[s].segments_skipped;
-  };
-
-  {
-    FUNGUS_TRACE_SPAN("decay.plan", num_shards);
-    if (pool_ != nullptr) {
-      pool_->ParallelFor(num_shards, plan_one);
-    } else {
-      for (size_t s = 0; s < num_shards; ++s) plan_one(s);
-    }
-  }
   {
     FUNGUS_TRACE_SPAN("decay.apply", num_shards);
-    if (pool_ != nullptr) {
-      pool_->ParallelFor(num_shards, apply_one);
-    } else {
-      for (size_t s = 0; s < num_shards; ++s) apply_one(s);
-    }
+    for_each_shard([&](size_t s) {
+      FUNGUS_TRACE_SPAN("decay.apply.shard", s);
+      ApplyShardPlan(table.shard(s), plans[s], &killed[s], &stats[s]);
+    });
   }
 
   // Merge: death observers (and the Kitchen behind them) see one list
   // per tick in insertion order, independent of shard/thread schedule.
-  std::vector<RowId> all_killed;
+  DecayTick tick;
   size_t total_killed = 0;
   for (const auto& k : killed) total_killed += k.size();
-  all_killed.reserve(total_killed);
+  tick.killed.reserve(total_killed);
   for (const auto& k : killed) {
-    all_killed.insert(all_killed.end(), k.begin(), k.end());
+    tick.killed.insert(tick.killed.end(), k.begin(), k.end());
   }
-  std::sort(all_killed.begin(), all_killed.end());
-  for (const DecayStats& s : stats) *tick_stats += s;
+  std::sort(tick.killed.begin(), tick.killed.end());
+  for (const DecayStats& s : stats) tick.stats += s;
 
-  a.fungus->FinishShardedTick(table, all_killed);
+  fungus.FinishTick(table, tick.killed);
 
-  if (metrics_ != nullptr) {
-    metrics_->IncrementCounter("fungusdb.parallel.shard_ticks",
-                               static_cast<int64_t>(num_shards));
-    if (pool_ != nullptr) {
-      metrics_->IncrementCounter(
-          "fungusdb.parallel.barrier_wait_us",
-          static_cast<int64_t>(pool_->barrier_wait_micros() -
-                               barrier_before));
-    }
-  }
-  return all_killed;
+  // Materialization this tick triggered (per-row fallbacks landing on
+  // previously folded segments) — the lazy path's deferred cost.
+  tick.stats.rows_materialized =
+      table.rows_materialized() - materialized_before;
+  return tick;
 }
 
 uint64_t DecayScheduler::AdvanceTo(Timestamp now) {
@@ -184,28 +180,18 @@ uint64_t DecayScheduler::AdvanceTo(Timestamp now) {
 
     const Timestamp tick_time = due->next_tick;
     const int64_t tick_begin_us = SteadyMicros();
-    // One tick == one decay epoch on every shard of the table; folds
-    // stamp the advanced value into the segments they cover.
-    due->table->AdvanceDecayEpochs();
-    const uint64_t materialized_before = due->table->rows_materialized();
-    DecayStats tick_stats;
-    std::vector<RowId> tick_killed;
+    const uint64_t barrier_before =
+        pool_ != nullptr ? pool_->barrier_wait_micros() : 0;
+    DecayTick tick;
     {
       FUNGUS_TRACE_SPAN("decay.tick");
-      if (due->fungus->SupportsShardedTick() &&
-          due->table->num_shards() > 1) {
-        tick_killed = RunShardedTick(*due, tick_time, &tick_stats);
-      } else {
-        DecayContext ctx(due->table, tick_time);
-        due->fungus->Tick(ctx);
-        tick_stats = ctx.stats();
-        tick_killed = ctx.killed();
-      }
+      tick = RunDecayTick(*due->table, *due->fungus, tick_time,
+                          due->stats.ticks, pool_);
     }
-    // Materialization this tick triggered (per-row fallbacks landing on
-    // previously folded segments) — the lazy path's deferred cost.
-    tick_stats.rows_materialized =
-        due->table->rows_materialized() - materialized_before;
+    const uint64_t barrier_wait_us =
+        pool_ != nullptr ? pool_->barrier_wait_micros() - barrier_before : 0;
+    const DecayStats& tick_stats = tick.stats;
+    const std::vector<RowId>& tick_killed = tick.killed;
     due->next_tick += due->period;
     ++due->stats.ticks;
     due->stats.decay += tick_stats;
@@ -234,6 +220,13 @@ uint64_t DecayScheduler::AdvanceTo(Timestamp now) {
       const std::string table_label = "table=" + due->table->name();
       metrics_->IncrementCounter("fungusdb.decay.ticks");
       metrics_->IncrementCounter("fungusdb.decay.ticks", table_label);
+      metrics_->IncrementCounter(
+          "fungusdb.parallel.shard_ticks",
+          static_cast<int64_t>(due->table->num_shards()));
+      if (pool_ != nullptr) {
+        metrics_->IncrementCounter("fungusdb.parallel.barrier_wait_us",
+                                   static_cast<int64_t>(barrier_wait_us));
+      }
       metrics_->IncrementCounter("fungusdb.decay.tuples_touched",
                                  tick_stats.tuples_touched);
       metrics_->IncrementCounter("fungusdb.decay.tuples_killed",

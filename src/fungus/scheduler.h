@@ -15,6 +15,24 @@
 
 namespace fungusdb {
 
+/// What one decay tick did to its table.
+struct DecayTick {
+  std::vector<RowId> killed;  // rows that died, sorted by RowId
+  DecayStats stats;
+};
+
+/// Runs one tick of `fungus` over `table` at `now` — the one way a
+/// fungus acts. Advances the table's decay epoch, then:
+/// BeginTick → plan (one planner per shard, read-only over the frozen
+/// table) → barrier → apply (one worker per shard, disjoint writes) →
+/// merge (deaths sorted by RowId, stats summed) → FinishTick.
+/// `tick_index` counts the ticks this fungus ran before (it keys the
+/// RNG streams); `pool` may be null, in which case every phase runs
+/// inline with identical outcomes. Dead rows stay readable: reclaiming
+/// their segments is left to the caller, after it has used the deaths.
+DecayTick RunDecayTick(Table& table, Fungus& fungus, Timestamp now,
+                       uint64_t tick_index, ThreadPool* pool);
+
 /// The paper's periodic clock: "The extent of table R decays with a
 /// periodic clock of T seconds using a data fungus F until it has
 /// completely disappeared."
@@ -88,9 +106,9 @@ class DecayScheduler {
   void set_metrics(MetricsRegistry* metrics) { metrics_ = metrics; }
 
   /// Optional worker pool for shard-parallel ticks. Not owned. Without a
-  /// pool (or with a single-thread pool) sharded ticks still run the
-  /// two-phase plan/apply pipeline, just inline — outcomes are identical
-  /// by construction, which is what the determinism tests assert.
+  /// pool (or with a single-thread pool) ticks still run the two-phase
+  /// plan/apply pipeline, just inline — outcomes are identical by
+  /// construction, which is what the determinism tests assert.
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
 
   /// Installs (or clears, with nullptr) the CHECK AFTER TICK hook.
@@ -119,11 +137,6 @@ class DecayScheduler {
     AttachmentStats stats;
     bool active = false;
   };
-
-  /// Runs one tick of `a` through the sharded plan/apply pipeline,
-  /// returning the tick's merged (RowId-sorted) death list.
-  std::vector<RowId> RunShardedTick(Attachment& a, Timestamp tick_time,
-                                    DecayStats* tick_stats);
 
   const Attachment* AttachmentForTable(const Table* table) const;
 

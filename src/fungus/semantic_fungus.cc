@@ -15,26 +15,28 @@ SemanticFungus::SemanticFungus(ExprPtr predicate, Params params)
   assert(params_.unmatched_step >= 0.0 && params_.unmatched_step <= 1.0);
 }
 
-void SemanticFungus::Tick(DecayContext& ctx) {
-  Table& table = ctx.table();
-  if (!bound_.has_value()) {
-    if (!bind_status_.ok()) return;  // permanently broken; already logged
-    Result<BoundExpr> bound = Bind(*predicate_, table.schema());
-    if (bound.ok() && bound->result_type.has_value() &&
-        bound->result_type != DataType::kBool) {
-      bound = Status::TypeMismatch(
-          "semantic fungus predicate must be boolean");
-    }
-    if (!bound.ok()) {
-      bind_status_ = bound.status();
-      FUNGUSDB_LOG(Error) << "semantic fungus disabled on table '"
-                          << table.name()
-                          << "': " << bind_status_.ToString();
-      return;
-    }
-    bound_ = std::move(bound).value();
+void SemanticFungus::BeginTick(const Table& table, Timestamp now) {
+  (void)now;
+  if (bound_.has_value() || !bind_status_.ok()) return;
+  Result<BoundExpr> bound = Bind(*predicate_, table.schema());
+  if (bound.ok() && bound->result_type.has_value() &&
+      bound->result_type != DataType::kBool) {
+    bound = Status::TypeMismatch("semantic fungus predicate must be boolean");
   }
-  table.ForEachLive([&](RowId row) {
+  if (!bound.ok()) {
+    // Permanently broken: logged once, and every later tick is inert.
+    bind_status_ = bound.status();
+    FUNGUSDB_LOG(Error) << "semantic fungus disabled on table '"
+                        << table.name() << "': " << bind_status_.ToString();
+    return;
+  }
+  bound_ = std::move(bound).value();
+}
+
+void SemanticFungus::PlanShard(ShardPlanContext& ctx) {
+  if (!bound_.has_value()) return;
+  const Table& table = ctx.table();
+  ctx.shard().ForEachLive([&](RowId row) {
     Result<bool> matched = EvalPredicate(*bound_, table, row);
     const double step = (matched.ok() && *matched)
                             ? params_.matched_step

@@ -17,9 +17,9 @@ namespace fungusdb {
 /// unmatched_step = 0 makes it a targeted purge.
 ///
 /// The predicate is an ordinary query expression (it may reference
-/// `__ts` and `__freshness`); it is bound against the table's schema on
-/// the first tick. Tuples on which the predicate errors or evaluates to
-/// null decay at the unmatched rate.
+/// `__ts` and `__freshness`); it is bound against the table's schema once,
+/// in the first tick's serial begin step. Tuples on which the predicate
+/// errors or evaluates to null decay at the unmatched rate.
 class SemanticFungus : public Fungus {
  public:
   struct Params {
@@ -35,7 +35,8 @@ class SemanticFungus : public Fungus {
   SemanticFungus(ExprPtr predicate, Params params);
 
   std::string_view name() const override { return "semantic"; }
-  void Tick(DecayContext& ctx) override;
+  void BeginTick(const Table& table, Timestamp now) override;
+  void PlanShard(ShardPlanContext& ctx) override;
   std::string Describe() const override;
   void Reset() override;
 

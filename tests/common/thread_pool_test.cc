@@ -75,5 +75,22 @@ TEST(ThreadPoolTest, MoreTasksThanMorselsCompletes) {
   EXPECT_EQ(calls.load(), 2);
 }
 
+TEST(ThreadPoolTest, ManySmallParallelForsReturnOnlyAfterHelpersLeave) {
+  // ParallelFor's join state lives on the caller's frame, and a decay
+  // tick forks a handful of shards many times per second. Each call
+  // must not return while its last helper still touches that state —
+  // run under TSan/ASan in CI, a premature return shows up as a
+  // use-after-scope.
+  ThreadPool pool(4);
+  for (int round = 0; round < 20000; ++round) {
+    const size_t n = 2 + static_cast<size_t>(round % 3);  // 2..4 shards
+    std::vector<std::atomic<int>> hits(n);
+    pool.ParallelFor(n, [&](size_t i) {
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
+  }
+}
+
 }  // namespace
 }  // namespace fungusdb

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "fungus/rot_analysis.h"
+#include "fungus/scheduler.h"
 
 namespace fungusdb {
 namespace {
@@ -27,9 +28,9 @@ TEST(EgiFungusTest, SeedsInfections) {
   p.seeds_per_tick = 3.0;
   p.decay_step = 0.1;
   EgiFungus fungus(p);
-  DecayContext ctx(&t, 1000);
-  fungus.Tick(ctx);
-  EXPECT_GE(ctx.stats().seeds_planted, 1u);
+  const DecayTick tick =
+      RunDecayTick(t, fungus, 1000, /*tick_index=*/0, nullptr);
+  EXPECT_GE(tick.stats.seeds_planted, 1u);
   EXPECT_FALSE(fungus.infected().empty());
 }
 
@@ -40,16 +41,14 @@ TEST(EgiFungusTest, InfectedTuplesLoseFreshnessEachTick) {
   p.decay_step = 0.25;
   p.spread_probability = 0.0;  // isolate a single infection
   EgiFungus fungus(p);
-  DecayContext ctx(&t, 0);
-  fungus.Tick(ctx);
+  RunDecayTick(t, fungus, 0, /*tick_index=*/0, nullptr);
   ASSERT_EQ(fungus.infected().size(), 1u);
   const RowId victim = *fungus.infected().begin();
   EXPECT_NEAR(t.Freshness(victim), 0.75, 1e-9);
   // Later ticks may seed other tuples, but the victim keeps losing
   // decay_step per tick until it dies.
   for (int i = 0; i < 2; ++i) {
-    DecayContext c(&t, i);
-    fungus.Tick(c);
+    RunDecayTick(t, fungus, i + 1, /*tick_index=*/i + 1, nullptr);
   }
   EXPECT_NEAR(t.Freshness(victim), 0.25, 1e-9);
 }
@@ -61,12 +60,10 @@ TEST(EgiFungusTest, TupleDiesAfterEnoughTicks) {
   p.decay_step = 0.5;
   p.spread_probability = 0.0;
   EgiFungus fungus(p);
-  DecayContext c1(&t, 0);
-  fungus.Tick(c1);
+  RunDecayTick(t, fungus, 0, /*tick_index=*/0, nullptr);
   const RowId victim = *fungus.infected().begin();
   // Seeding continues, but the tracked victim dies after two 0.5 steps.
-  DecayContext c2(&t, 1);
-  fungus.Tick(c2);
+  RunDecayTick(t, fungus, 1, /*tick_index=*/1, nullptr);
   EXPECT_FALSE(t.IsLive(victim));
   // Dead tuples leave the infection set.
   EXPECT_EQ(fungus.infected().count(victim), 0u);
@@ -80,9 +77,9 @@ TEST(EgiFungusTest, SpreadInfectsNeighbours) {
   p.spread_probability = 1.0;
   EgiFungus fungus(p);
   // Spreading happens within the seeding tick (paper step 2): after one
-  // tick the spot already includes a direct neighbour of the seed.
-  DecayContext c1(&t, 0);
-  fungus.Tick(c1);
+  // tick the infection set already holds a direct neighbour of the seed,
+  // which starts decaying on the next tick.
+  RunDecayTick(t, fungus, 0, /*tick_index=*/0, nullptr);
   ASSERT_GE(fungus.infected().size(), 2u);
   bool has_adjacent_pair = false;
   RowId prev_row = 0;
@@ -95,8 +92,7 @@ TEST(EgiFungusTest, SpreadInfectsNeighbours) {
   EXPECT_TRUE(has_adjacent_pair);
   // Further ticks grow the spot bidirectionally.
   const size_t before = fungus.infected().size();
-  DecayContext c2(&t, 1);
-  fungus.Tick(c2);
+  RunDecayTick(t, fungus, 1, /*tick_index=*/1, nullptr);
   EXPECT_GT(fungus.infected().size(), before);
 }
 
@@ -109,8 +105,7 @@ TEST(EgiFungusTest, CreatesContiguousRottingSpots) {
   p.spread_probability = 1.0;
   EgiFungus fungus(p);
   for (int tick = 0; tick < 120; ++tick) {
-    DecayContext ctx(&t, tick);
-    fungus.Tick(ctx);
+    RunDecayTick(t, fungus, tick, /*tick_index=*/tick, nullptr);
   }
   RotStructure rot = AnalyzeRot(t);
   ASSERT_GT(rot.dead_tuples + rot.reclaimed_tuples, 50u);
@@ -129,10 +124,8 @@ TEST(EgiFungusTest, DeterministicGivenSeed) {
   EgiFungus f1(p);
   EgiFungus f2(p);
   for (int tick = 0; tick < 30; ++tick) {
-    DecayContext c1(&t1, tick);
-    DecayContext c2(&t2, tick);
-    f1.Tick(c1);
-    f2.Tick(c2);
+    RunDecayTick(t1, f1, tick, /*tick_index=*/tick, nullptr);
+    RunDecayTick(t2, f2, tick, /*tick_index=*/tick, nullptr);
   }
   EXPECT_EQ(t1.live_rows(), t2.live_rows());
   EXPECT_EQ(t1.LiveRows(), t2.LiveRows());
@@ -148,9 +141,9 @@ TEST(EgiFungusTest, AgeBiasPrefersOldTuples) {
   EgiFungus fungus(p);
   uint64_t old_kills = 0, kills = 0;
   for (int tick = 0; tick < 400; ++tick) {
-    DecayContext ctx(&t, tick);
-    fungus.Tick(ctx);
-    for (RowId r : ctx.killed()) {
+    const DecayTick result =
+        RunDecayTick(t, fungus, tick, /*tick_index=*/tick, nullptr);
+    for (RowId r : result.killed) {
       ++kills;
       if (r < 5000) ++old_kills;
     }
@@ -164,8 +157,7 @@ TEST(EgiFungusTest, ResetClearsInfections) {
   Table t = FilledTable(50);
   EgiFungus::Params p;
   EgiFungus fungus(p);
-  DecayContext ctx(&t, 0);
-  fungus.Tick(ctx);
+  RunDecayTick(t, fungus, 0, /*tick_index=*/0, nullptr);
   EXPECT_FALSE(fungus.infected().empty());
   fungus.Reset();
   EXPECT_TRUE(fungus.infected().empty());
@@ -174,9 +166,9 @@ TEST(EgiFungusTest, ResetClearsInfections) {
 TEST(EgiFungusTest, EmptyTableTickIsHarmless) {
   Table t("t", OneColSchema());
   EgiFungus fungus(EgiFungus::Params{});
-  DecayContext ctx(&t, 0);
-  fungus.Tick(ctx);
-  EXPECT_EQ(ctx.stats().tuples_killed, 0u);
+  const DecayTick tick =
+      RunDecayTick(t, fungus, 0, /*tick_index=*/0, nullptr);
+  EXPECT_EQ(tick.stats.tuples_killed, 0u);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "fungus/scheduler.h"
+
 namespace fungusdb {
 namespace {
 
@@ -19,12 +21,10 @@ TEST(ExponentialFungusTest, DecaysByElapsedTime) {
   p.kill_threshold = 0.0001;
   ExponentialFungus fungus(p);
 
-  DecayContext ctx1(&t, kSecond);
-  fungus.Tick(ctx1);
+  RunDecayTick(t, fungus, kSecond, /*tick_index=*/0, nullptr);
   EXPECT_NEAR(t.Freshness(0), 0.5, 1e-9);
 
-  DecayContext ctx2(&t, 2 * kSecond);
-  fungus.Tick(ctx2);
+  RunDecayTick(t, fungus, 2 * kSecond, /*tick_index=*/0, nullptr);
   EXPECT_NEAR(t.Freshness(0), 0.25, 1e-9);
 }
 
@@ -32,8 +32,7 @@ TEST(ExponentialFungusTest, FromHalfLifeHalvesPerHalfLife) {
   Table t("t", OneColSchema());
   ASSERT_TRUE(t.Append({Value::Int64(0)}, 0).ok());
   ExponentialFungus fungus(ExponentialFungus::FromHalfLife(kHour));
-  DecayContext ctx(&t, kHour);
-  fungus.Tick(ctx);
+  RunDecayTick(t, fungus, kHour, /*tick_index=*/0, nullptr);
   EXPECT_NEAR(t.Freshness(0), 0.5, 1e-9);
 }
 
@@ -45,8 +44,7 @@ TEST(ExponentialFungusTest, KillsBelowThreshold) {
   p.kill_threshold = 0.05;
   ExponentialFungus fungus(p);
   // After 4 seconds freshness would be e^-4 ~= 0.018 < 0.05.
-  DecayContext ctx(&t, 4 * kSecond);
-  fungus.Tick(ctx);
+  RunDecayTick(t, fungus, 4 * kSecond, /*tick_index=*/0, nullptr);
   EXPECT_FALSE(t.IsLive(0));
 }
 
@@ -56,8 +54,7 @@ TEST(ExponentialFungusTest, ZeroElapsedIsNoop) {
   ExponentialFungus::Params p;
   p.lambda_per_second = 10.0;
   ExponentialFungus fungus(p);
-  DecayContext ctx(&t, 0);
-  fungus.Tick(ctx);
+  RunDecayTick(t, fungus, 0, /*tick_index=*/0, nullptr);
   EXPECT_DOUBLE_EQ(t.Freshness(0), 1.0);
 }
 
@@ -67,13 +64,11 @@ TEST(ExponentialFungusTest, ResetRestartsTheClock) {
   ExponentialFungus::Params p;
   p.lambda_per_second = std::log(2.0);
   ExponentialFungus fungus(p);
-  DecayContext ctx(&t, kSecond);
-  fungus.Tick(ctx);
+  RunDecayTick(t, fungus, kSecond, /*tick_index=*/0, nullptr);
   fungus.Reset();
   // After reset, the next tick decays from start_time again: 2 more
   // halvings on top of the existing 0.5.
-  DecayContext ctx2(&t, 2 * kSecond);
-  fungus.Tick(ctx2);
+  RunDecayTick(t, fungus, 2 * kSecond, /*tick_index=*/0, nullptr);
   EXPECT_NEAR(t.Freshness(0), 0.125, 1e-9);
 }
 
@@ -85,10 +80,9 @@ TEST(ExponentialFungusTest, NewerTuplesNotSpared) {
   ExponentialFungus::Params p;
   p.lambda_per_second = std::log(2.0);
   ExponentialFungus fungus(p);
-  DecayContext ctx(&t, kSecond);
   // Append a new tuple just before the tick: it is decayed too.
   ASSERT_TRUE(t.Append({Value::Int64(1)}, kSecond).ok());
-  fungus.Tick(ctx);
+  RunDecayTick(t, fungus, kSecond, /*tick_index=*/0, nullptr);
   EXPECT_NEAR(t.Freshness(1), 0.5, 1e-9);
 }
 

@@ -24,6 +24,7 @@
 #include "fungus/quota_fungus.h"
 #include "fungus/random_blight_fungus.h"
 #include "fungus/retention_fungus.h"
+#include "fungus/scheduler.h"
 #include "fungus/semantic_fungus.h"
 #include "fungus/sliding_window_fungus.h"
 #include "query/parser.h"
@@ -135,8 +136,7 @@ TEST_P(FungusPropertyTest, CoreInvariantsHoldOverManyTicks) {
       ++next_value;
     }
     now += 1 + static_cast<Timestamp>(rng.NextBounded(10));
-    DecayContext ctx(&t, now);
-    fungus->Tick(ctx);
+    RunDecayTick(t, *fungus, now, /*tick_index=*/step, nullptr);
 
     // P2 + P1 + P4 over every tuple ever appended.
     for (auto& [row, prev] : last_freshness) {
@@ -182,8 +182,7 @@ TEST_P(FungusPropertyTest, DeterministicReplay) {
         t.Append({Value::Int64(step * 3 + i)}, now).value();
       }
       now += 7;
-      DecayContext ctx(&t, now);
-      fungus->Tick(ctx);
+      RunDecayTick(t, *fungus, now, /*tick_index=*/step, nullptr);
     }
     return t.LiveRows();
   };
@@ -208,8 +207,7 @@ TEST_P(FungusPropertyTest, SustainedDecayBoundsOrEmptiesTheTable) {
   Timestamp now = 200;
   for (int tick = 0; tick < 400; ++tick) {
     now += 10;
-    DecayContext ctx(&t, now);
-    fungus->Tick(ctx);
+    RunDecayTick(t, *fungus, now, /*tick_index=*/tick, nullptr);
   }
   EXPECT_LE(t.live_rows(), 100u) << c.label;
 }

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
-#include "fungus/composite_fungus.h"
+#include <functional>
+#include <vector>
+
 #include "fungus/importance_fungus.h"
 #include "fungus/random_blight_fungus.h"
 #include "fungus/retention_fungus.h"
 #include "fungus/rot_analysis.h"
+#include "fungus/scheduler.h"
 #include "fungus/sliding_window_fungus.h"
 
 namespace fungusdb {
@@ -30,8 +33,7 @@ Table FilledTable(int rows, bool track_access = false) {
 TEST(SlidingWindowFungusTest, EnforcesMaxRows) {
   Table t = FilledTable(100);
   SlidingWindowFungus fungus(30);
-  DecayContext ctx(&t, 0);
-  fungus.Tick(ctx);
+  RunDecayTick(t, fungus, 0, /*tick_index=*/0, nullptr);
   EXPECT_EQ(t.live_rows(), 30u);
   // The survivors are the newest 30.
   EXPECT_EQ(t.OldestLive().value(), 70u);
@@ -40,16 +42,14 @@ TEST(SlidingWindowFungusTest, EnforcesMaxRows) {
 TEST(SlidingWindowFungusTest, UnderfullWindowUntouched) {
   Table t = FilledTable(10);
   SlidingWindowFungus fungus(30);
-  DecayContext ctx(&t, 0);
-  fungus.Tick(ctx);
+  RunDecayTick(t, fungus, 0, /*tick_index=*/0, nullptr);
   EXPECT_EQ(t.live_rows(), 10u);
 }
 
 TEST(SlidingWindowFungusTest, FreshnessReflectsWindowPosition) {
   Table t = FilledTable(4);
   SlidingWindowFungus fungus(4);
-  DecayContext ctx(&t, 0);
-  fungus.Tick(ctx);
+  RunDecayTick(t, fungus, 0, /*tick_index=*/0, nullptr);
   // Oldest gets 1/4, newest 4/4.
   EXPECT_NEAR(t.Freshness(0), 0.25, 1e-9);
   EXPECT_NEAR(t.Freshness(3), 1.0, 1e-9);
@@ -68,11 +68,11 @@ TEST(RandomBlightFungusTest, DecaysRequestedNumberPerTick) {
   p.tuples_per_tick = 10;
   p.decay_step = 1.0;  // kill on first touch
   RandomBlightFungus fungus(p);
-  DecayContext ctx(&t, 0);
-  fungus.Tick(ctx);
+  const DecayTick tick =
+      RunDecayTick(t, fungus, 0, /*tick_index=*/0, nullptr);
   // Each pick is distinct-with-high-probability; allow some overlap.
-  EXPECT_GE(ctx.stats().tuples_killed, 8u);
-  EXPECT_LE(ctx.stats().tuples_killed, 10u);
+  EXPECT_GE(tick.stats.tuples_killed, 8u);
+  EXPECT_LE(tick.stats.tuples_killed, 10u);
 }
 
 TEST(RandomBlightFungusTest, ProducesScatteredDeath) {
@@ -82,8 +82,7 @@ TEST(RandomBlightFungusTest, ProducesScatteredDeath) {
   p.decay_step = 1.0;
   RandomBlightFungus fungus(p);
   for (int tick = 0; tick < 100; ++tick) {
-    DecayContext ctx(&t, tick);
-    fungus.Tick(ctx);
+    RunDecayTick(t, fungus, tick, /*tick_index=*/tick, nullptr);
   }
   RotStructure rot = AnalyzeRot(t);
   ASSERT_GT(rot.dead_tuples + rot.reclaimed_tuples, 400u);
@@ -99,9 +98,8 @@ TEST(RandomBlightFungusTest, DeterministicGivenSeed) {
   Table t2 = FilledTable(300);
   RandomBlightFungus f1(p), f2(p);
   for (int tick = 0; tick < 20; ++tick) {
-    DecayContext c1(&t1, tick), c2(&t2, tick);
-    f1.Tick(c1);
-    f2.Tick(c2);
+    RunDecayTick(t1, f1, tick, /*tick_index=*/tick, nullptr);
+    RunDecayTick(t2, f2, tick, /*tick_index=*/tick, nullptr);
   }
   EXPECT_EQ(t1.LiveRows(), t2.LiveRows());
 }
@@ -113,8 +111,7 @@ TEST(ImportanceFungusTest, UnaccessedTuplesDecayAtBaseRate) {
   ImportanceFungus::Params p;
   p.decay_step = 0.2;
   ImportanceFungus fungus(p);
-  DecayContext ctx(&t, 0);
-  fungus.Tick(ctx);
+  RunDecayTick(t, fungus, 0, /*tick_index=*/0, nullptr);
   EXPECT_NEAR(t.Freshness(0), 0.8, 1e-9);
 }
 
@@ -125,8 +122,7 @@ TEST(ImportanceFungusTest, AccessedTuplesDecaySlower) {
   p.decay_step = 0.2;
   p.access_weight = 1.0;
   ImportanceFungus fungus(p);
-  DecayContext ctx(&t, 0);
-  fungus.Tick(ctx);
+  RunDecayTick(t, fungus, 0, /*tick_index=*/0, nullptr);
   // 7 accesses: protection = 1 + log2(8) = 4 -> decay 0.05.
   EXPECT_NEAR(t.Freshness(3), 0.95, 1e-9);
   EXPECT_NEAR(t.Freshness(0), 0.8, 1e-9);
@@ -139,68 +135,65 @@ TEST(ImportanceFungusTest, ZeroWeightIgnoresAccesses) {
   p.decay_step = 0.1;
   p.access_weight = 0.0;
   ImportanceFungus fungus(p);
-  DecayContext ctx(&t, 0);
-  fungus.Tick(ctx);
+  RunDecayTick(t, fungus, 0, /*tick_index=*/0, nullptr);
   EXPECT_NEAR(t.Freshness(0), t.Freshness(1), 1e-12);
 }
 
-// --- CompositeFungus ---
+// --- RunDecayTick ---
 
-TEST(CompositeFungusTest, AppliesChildrenInOrder) {
-  Table t = FilledTable(100);
-  std::vector<std::unique_ptr<Fungus>> children;
-  children.push_back(std::make_unique<SlidingWindowFungus>(50));
-  children.push_back(std::make_unique<RetentionFungus>(10));  // 10us
-  CompositeFungus fungus(std::move(children));
-  DecayContext ctx(&t, /*now=*/200);
-  fungus.Tick(ctx);
-  // The window keeps 50, then retention (10us, everything is older)
-  // wipes the rest.
-  EXPECT_EQ(t.live_rows(), 0u);
-}
+/// Plans through a caller-supplied function, to drive the tick function
+/// with hand-picked actions.
+class ScriptedFungus : public Fungus {
+ public:
+  explicit ScriptedFungus(std::function<void(ShardPlanContext&)> plan)
+      : plan_(std::move(plan)) {}
+  std::string_view name() const override { return "scripted"; }
+  void PlanShard(ShardPlanContext& ctx) override { plan_(ctx); }
+  std::string Describe() const override { return "scripted"; }
 
-TEST(CompositeFungusTest, DescribeListsChildren) {
-  std::vector<std::unique_ptr<Fungus>> children;
-  children.push_back(std::make_unique<SlidingWindowFungus>(5));
-  children.push_back(std::make_unique<RetentionFungus>(kDay));
-  CompositeFungus fungus(std::move(children));
-  const std::string d = fungus.Describe();
-  EXPECT_NE(d.find("sliding_window"), std::string::npos);
-  EXPECT_NE(d.find("retention"), std::string::npos);
-  EXPECT_EQ(fungus.num_children(), 2u);
-}
+ private:
+  std::function<void(ShardPlanContext&)> plan_;
+};
 
-// --- DecayContext ---
-
-TEST(DecayContextTest, TracksKilledRows) {
+TEST(RunDecayTickTest, TracksKilledRows) {
   Table t = FilledTable(5);
-  DecayContext ctx(&t, 0);
-  ctx.Decay(0, 1.0);
-  ctx.Kill(2);
-  ctx.SetFreshness(4, 0.0);
-  EXPECT_EQ(ctx.killed().size(), 3u);
-  EXPECT_EQ(ctx.stats().tuples_killed, 3u);
-  EXPECT_EQ(ctx.stats().tuples_touched, 3u);
+  ScriptedFungus fungus([](ShardPlanContext& ctx) {
+    ctx.SetFreshness(4, 0.0);
+    ctx.Decay(0, 1.0);
+    ctx.Kill(2);
+  });
+  const DecayTick tick =
+      RunDecayTick(t, fungus, 0, /*tick_index=*/0, nullptr);
+  EXPECT_EQ(tick.killed, (std::vector<RowId>{0, 2, 4}));  // RowId order
+  EXPECT_EQ(tick.stats.tuples_killed, 3u);
+  EXPECT_EQ(tick.stats.tuples_touched, 3u);
+  EXPECT_EQ(t.live_rows(), 2u);
 }
 
-TEST(DecayContextTest, IgnoresDeadRows) {
+TEST(RunDecayTickTest, IgnoresDeadRows) {
   Table t = FilledTable(2);
   ASSERT_TRUE(t.Kill(0).ok());
-  DecayContext ctx(&t, 0);
-  ctx.Decay(0, 0.5);
-  ctx.Kill(0);
-  ctx.SetFreshness(0, 0.5);
-  EXPECT_EQ(ctx.stats().tuples_touched, 0u);
-  EXPECT_TRUE(ctx.killed().empty());
+  ScriptedFungus fungus([](ShardPlanContext& ctx) {
+    ctx.Decay(0, 0.5);
+    ctx.Kill(0);
+    ctx.SetFreshness(0, 0.5);
+  });
+  const DecayTick tick =
+      RunDecayTick(t, fungus, 0, /*tick_index=*/0, nullptr);
+  EXPECT_EQ(tick.stats.tuples_touched, 0u);
+  EXPECT_TRUE(tick.killed.empty());
 }
 
-TEST(DecayContextTest, PartialDecayDoesNotKill) {
+TEST(RunDecayTickTest, PartialDecayDoesNotKill) {
   Table t = FilledTable(1);
-  DecayContext ctx(&t, 0);
-  ctx.Decay(0, 0.3);
-  EXPECT_EQ(ctx.stats().tuples_touched, 1u);
-  EXPECT_EQ(ctx.stats().tuples_killed, 0u);
+  ScriptedFungus fungus(
+      [](ShardPlanContext& ctx) { ctx.Decay(0, 0.3); });
+  const DecayTick tick =
+      RunDecayTick(t, fungus, 0, /*tick_index=*/0, nullptr);
+  EXPECT_EQ(tick.stats.tuples_touched, 1u);
+  EXPECT_EQ(tick.stats.tuples_killed, 0u);
   EXPECT_TRUE(t.IsLive(0));
+  EXPECT_NEAR(t.Freshness(0), 0.7, 1e-12);
 }
 
 }  // namespace

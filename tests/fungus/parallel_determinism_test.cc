@@ -7,7 +7,13 @@
 #include "core/database.h"
 #include "fungus/egi_fungus.h"
 #include "fungus/exponential_fungus.h"
+#include "fungus/importance_fungus.h"
+#include "fungus/quota_fungus.h"
+#include "fungus/random_blight_fungus.h"
 #include "fungus/retention_fungus.h"
+#include "fungus/semantic_fungus.h"
+#include "fungus/sliding_window_fungus.h"
+#include "query/parser.h"
 
 namespace fungusdb {
 namespace {
@@ -32,9 +38,20 @@ Fingerprint FingerprintTable(const Table& t) {
   return fp;
 }
 
-enum class Kind { kEgi, kExponential, kRetention };
+enum class Kind {
+  kEgi,
+  kExponential,
+  kRetention,
+  kImportance,
+  kSemantic,
+  kSlidingWindow,
+  kQuota,
+  kRandomBlight,
+};
 
-std::unique_ptr<Fungus> MakeFungus(Kind kind) {
+/// `table` is the fungus's table as of attachment (the quota is set to
+/// half its footprint).
+std::unique_ptr<Fungus> MakeFungus(Kind kind, const Table& table) {
   switch (kind) {
     case Kind::kEgi: {
       EgiFungus::Params p;
@@ -49,6 +66,28 @@ std::unique_ptr<Fungus> MakeFungus(Kind kind) {
           ExponentialFungus::FromHalfLife(20 * kSecond));
     case Kind::kRetention:
       return std::make_unique<RetentionFungus>(60 * kSecond);
+    case Kind::kImportance: {
+      ImportanceFungus::Params p;
+      p.decay_step = 0.05;
+      return std::make_unique<ImportanceFungus>(p);
+    }
+    case Kind::kSemantic: {
+      SemanticFungus::Params p;
+      p.matched_step = 0.15;
+      p.unmatched_step = 0.02;
+      return std::make_unique<SemanticFungus>(
+          ParseExpression("v < 200").value(), p);
+    }
+    case Kind::kSlidingWindow:
+      return std::make_unique<SlidingWindowFungus>(300);
+    case Kind::kQuota:
+      return std::make_unique<QuotaFungus>(table.MemoryUsage() / 2);
+    case Kind::kRandomBlight: {
+      RandomBlightFungus::Params p;
+      p.tuples_per_tick = 20;
+      p.decay_step = 0.5;
+      return std::make_unique<RandomBlightFungus>(p);
+    }
   }
   return nullptr;
 }
@@ -62,6 +101,7 @@ Fingerprint RunWorkload(Kind kind, size_t num_threads, uint64_t ticks) {
   TableOptions t_opts;
   t_opts.rows_per_segment = 16;
   t_opts.num_shards = 8;
+  t_opts.track_access = kind == Kind::kImportance;
   db.CreateTable("t", OneColumnSchema(), t_opts).value();
   const Table* table = &db.GetTable("t").value().table();
   // Spread insertions along the time axis (8 batches, 5 s apart) so
@@ -72,8 +112,14 @@ Fingerprint RunWorkload(Kind kind, size_t num_threads, uint64_t ticks) {
     }
     EXPECT_TRUE(db.Insert("t", {Value::Int64(i)}).ok());
   }
-  EXPECT_TRUE(
-      db.AttachFungus("t", MakeFungus(kind), /*period=*/kSecond).ok());
+  if (kind == Kind::kImportance) {
+    // Uneven access counts, so protection differs between rows.
+    EXPECT_TRUE(db.ExecuteSql("SELECT * FROM t WHERE v < 100").ok());
+    EXPECT_TRUE(db.ExecuteSql("SELECT * FROM t WHERE v < 30").ok());
+  }
+  EXPECT_TRUE(db.AttachFungus("t", MakeFungus(kind, *table),
+                              /*period=*/kSecond)
+                  .ok());
   EXPECT_TRUE(db.AdvanceTime(static_cast<Duration>(ticks) * kSecond).ok());
   return FingerprintTable(*table);
 }
@@ -81,6 +127,12 @@ Fingerprint RunWorkload(Kind kind, size_t num_threads, uint64_t ticks) {
 void ExpectIdenticalAcrossThreadCounts(Kind kind, uint64_t ticks) {
   const Fingerprint baseline = RunWorkload(kind, /*num_threads=*/1, ticks);
   EXPECT_FALSE(baseline.empty());
+  // Guard against vacuous determinism: the fungus killed or decayed.
+  bool decayed = baseline.size() < 512;
+  for (const auto& [row, freshness] : baseline) {
+    if (freshness < 1.0) decayed = true;
+  }
+  EXPECT_TRUE(decayed);
   for (size_t threads : kThreadCounts) {
     if (threads == 1) continue;
     const Fingerprint fp = RunWorkload(kind, threads, ticks);
@@ -112,6 +164,26 @@ TEST(ParallelDeterminismTest, RetentionIdenticalAt1_2_8Threads) {
   // 35 s of insertion spread + 40 ticks: the oldest batches cross the
   // 60 s retention horizon, the youngest survive with partial freshness.
   ExpectIdenticalAcrossThreadCounts(Kind::kRetention, /*ticks=*/40);
+}
+
+TEST(ParallelDeterminismTest, ImportanceIdenticalAt1_2_8Threads) {
+  ExpectIdenticalAcrossThreadCounts(Kind::kImportance, /*ticks=*/12);
+}
+
+TEST(ParallelDeterminismTest, SemanticIdenticalAt1_2_8Threads) {
+  ExpectIdenticalAcrossThreadCounts(Kind::kSemantic, /*ticks=*/12);
+}
+
+TEST(ParallelDeterminismTest, SlidingWindowIdenticalAt1_2_8Threads) {
+  ExpectIdenticalAcrossThreadCounts(Kind::kSlidingWindow, /*ticks=*/5);
+}
+
+TEST(ParallelDeterminismTest, QuotaIdenticalAt1_2_8Threads) {
+  ExpectIdenticalAcrossThreadCounts(Kind::kQuota, /*ticks=*/5);
+}
+
+TEST(ParallelDeterminismTest, RandomBlightIdenticalAt1_2_8Threads) {
+  ExpectIdenticalAcrossThreadCounts(Kind::kRandomBlight, /*ticks=*/25);
 }
 
 TEST(ParallelDeterminismTest, EgiDecayActuallyHappened) {
@@ -149,7 +221,7 @@ TEST(ParallelDeterminismTest, EgiSpreadCrossesShardBoundaries) {
   ASSERT_TRUE(db.AttachFungus("t", std::move(fungus), kSecond).ok());
   ASSERT_TRUE(db.AdvanceTime(6 * kSecond).ok());
 
-  const std::set<RowId> infected = egi->AllInfected();
+  const std::set<RowId> infected = egi->infected();
   ASSERT_GT(infected.size(), 1u);
   std::set<uint32_t> shards_touched;
   const Table* table = &db.GetTable("t").value().table();
@@ -171,7 +243,9 @@ TEST(ParallelDeterminismTest, ShardedParallelCountersAdvance) {
   for (int64_t i = 0; i < 128; ++i) {
     ASSERT_TRUE(db.Insert("t", {Value::Int64(i)}).ok());
   }
-  ASSERT_TRUE(db.AttachFungus("t", MakeFungus(Kind::kExponential), kSecond)
+  const Table& table = db.GetTable("t").value().table();
+  ASSERT_TRUE(db.AttachFungus("t", MakeFungus(Kind::kExponential, table),
+                              kSecond)
                   .ok());
   ASSERT_TRUE(db.AdvanceTime(10 * kSecond).ok());
   EXPECT_EQ(db.metrics().GetCounter("fungusdb.parallel.shard_ticks"),

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "fungus/scheduler.h"
+
 namespace fungusdb {
 namespace {
 
@@ -16,21 +18,20 @@ TEST(RetentionFungusTest, KillsTuplesPastRetention) {
     ASSERT_TRUE(t.Append({Value::Int64(i)}, i * kHour).ok());
   }
   RetentionFungus fungus(/*retention=*/90 * kMinute);
-  DecayContext ctx(&t, /*now=*/2 * kHour);
-  fungus.Tick(ctx);
+  const DecayTick tick =
+      RunDecayTick(t, fungus, 2 * kHour, /*tick_index=*/0, nullptr);
   // Row 0 is 2h old (>= 90m): dead. Row 1 is 1h old: alive. Row 2: fresh.
   EXPECT_FALSE(t.IsLive(0));
   EXPECT_TRUE(t.IsLive(1));
   EXPECT_TRUE(t.IsLive(2));
-  EXPECT_EQ(ctx.stats().tuples_killed, 1u);
+  EXPECT_EQ(tick.stats.tuples_killed, 1u);
 }
 
 TEST(RetentionFungusTest, FreshnessIsRemainingLifeFraction) {
   Table t("t", OneColSchema());
   ASSERT_TRUE(t.Append({Value::Int64(0)}, 0).ok());
   RetentionFungus fungus(10 * kSecond);
-  DecayContext ctx(&t, /*now=*/4 * kSecond);
-  fungus.Tick(ctx);
+  RunDecayTick(t, fungus, 4 * kSecond, /*tick_index=*/0, nullptr);
   EXPECT_NEAR(t.Freshness(0), 0.6, 1e-9);
 }
 
@@ -38,8 +39,7 @@ TEST(RetentionFungusTest, BrandNewTupleStaysFullyFresh) {
   Table t("t", OneColSchema());
   ASSERT_TRUE(t.Append({Value::Int64(0)}, 100).ok());
   RetentionFungus fungus(kMinute);
-  DecayContext ctx(&t, /*now=*/100);
-  fungus.Tick(ctx);
+  RunDecayTick(t, fungus, 100, /*tick_index=*/0, nullptr);
   EXPECT_DOUBLE_EQ(t.Freshness(0), 1.0);
 }
 
@@ -50,8 +50,7 @@ TEST(RetentionFungusTest, EventuallyEmptiesTheTable) {
     ASSERT_TRUE(t.Append({Value::Int64(i)}, i * kSecond).ok());
   }
   RetentionFungus fungus(10 * kSecond);
-  DecayContext ctx(&t, /*now=*/1000 * kSecond);
-  fungus.Tick(ctx);
+  RunDecayTick(t, fungus, 1000 * kSecond, /*tick_index=*/0, nullptr);
   EXPECT_EQ(t.live_rows(), 0u);
 }
 
@@ -64,9 +63,9 @@ TEST(RetentionFungusTest, Describe) {
 TEST(RetentionFungusTest, TickOnEmptyTableIsHarmless) {
   Table t("t", OneColSchema());
   RetentionFungus fungus(kDay);
-  DecayContext ctx(&t, kDay);
-  fungus.Tick(ctx);
-  EXPECT_EQ(ctx.stats().tuples_killed, 0u);
+  const DecayTick tick =
+      RunDecayTick(t, fungus, kDay, /*tick_index=*/0, nullptr);
+  EXPECT_EQ(tick.stats.tuples_killed, 0u);
 }
 
 TEST(RetentionFungusTest, SkipsFullyDeadSegmentsViaZoneMap) {
@@ -80,11 +79,11 @@ TEST(RetentionFungusTest, SkipsFullyDeadSegmentsViaZoneMap) {
     ASSERT_TRUE(t.Kill(r).ok());  // segment 0 fully dead
   }
   RetentionFungus fungus(/*retention=*/kHour);
-  DecayContext ctx(&t, /*now=*/kMinute);
-  fungus.Tick(ctx);
-  EXPECT_EQ(ctx.stats().segments_skipped, 1u);
+  const DecayTick tick =
+      RunDecayTick(t, fungus, kMinute, /*tick_index=*/0, nullptr);
+  EXPECT_EQ(tick.stats.segments_skipped, 1u);
   // The survivors still decayed normally.
-  EXPECT_EQ(ctx.stats().tuples_touched, 8u);
+  EXPECT_EQ(tick.stats.tuples_touched, 8u);
   EXPECT_NEAR(t.Freshness(5), 1.0 - 1.0 / 60.0, 1e-9);
 }
 
@@ -102,29 +101,29 @@ TEST(RetentionFungusTest, SkipsFrozenFreshSegmentsViaZoneMap) {
     ASSERT_TRUE(t.Append({Value::Int64(i)}, /*now=*/10 * kMinute).ok());
   }
   RetentionFungus fungus(/*retention=*/kHour);
-  DecayContext ctx(&t, /*now=*/10 * kMinute);
-  fungus.Tick(ctx);
-  EXPECT_EQ(ctx.stats().segments_skipped, 1u);
-  EXPECT_EQ(ctx.stats().tuples_touched, 4u);
+  const DecayTick tick =
+      RunDecayTick(t, fungus, 10 * kMinute, /*tick_index=*/0, nullptr);
+  EXPECT_EQ(tick.stats.segments_skipped, 1u);
+  EXPECT_EQ(tick.stats.tuples_touched, 4u);
   for (RowId r = 4; r < 8; ++r) {
     EXPECT_DOUBLE_EQ(t.Freshness(r), 1.0);
   }
   // Once a skipped segment's rows age past `now`, the next tick must
   // stop skipping it (min_ts < now) and decay normally.
-  DecayContext later(&t, /*now=*/20 * kMinute);
-  fungus.Tick(later);
-  EXPECT_EQ(later.stats().segments_skipped, 0u);
+  const DecayTick later =
+      RunDecayTick(t, fungus, 20 * kMinute, /*tick_index=*/0, nullptr);
+  EXPECT_EQ(later.stats.segments_skipped, 0u);
   EXPECT_NEAR(t.Freshness(4), 1.0 - 10.0 / 60.0, 1e-9);
 }
 
-TEST(RetentionFungusTest, SerialAndShardedTicksSkipIdentically) {
-  // The determinism contract: the per-shard planner must take the same
-  // zone-map skip decisions (and produce the same stats) as the serial
-  // tick over an identical table.
-  auto build = [] {
+TEST(RetentionFungusTest, OneAndThreeShardTicksSkipIdentically) {
+  // The determinism contract: every shard's planner takes the same
+  // zone-map skip decisions, so a 3-shard tick produces the same stats
+  // and freshness as a 1-shard tick over identical rows.
+  auto build = [](size_t num_shards) {
     TableOptions opts;
     opts.rows_per_segment = 4;
-    opts.num_shards = 3;
+    opts.num_shards = num_shards;
     Table t("t", OneColSchema(), opts);
     for (int i = 0; i < 24; ++i) {
       FUNGUSDB_CHECK_OK(
@@ -137,27 +136,26 @@ TEST(RetentionFungusTest, SerialAndShardedTicksSkipIdentically) {
   };
   const Timestamp now = 5 * kMinute;
 
-  Table serial_table = build();
-  RetentionFungus serial_fungus(kHour);
-  DecayContext serial_ctx(&serial_table, now);
-  serial_fungus.Tick(serial_ctx);
+  Table one = build(1);
+  RetentionFungus one_fungus(kHour);
+  const DecayTick one_tick =
+      RunDecayTick(one, one_fungus, now, /*tick_index=*/0, nullptr);
 
-  Table sharded_table = build();
-  RetentionFungus sharded_fungus(kHour);
-  ASSERT_TRUE(sharded_fungus.SupportsShardedTick());
-  sharded_fungus.BeginShardedTick(sharded_table, now);
-  uint64_t planned_skips = 0;
-  uint64_t planned_actions = 0;
-  for (uint32_t s = 0; s < sharded_table.num_shards(); ++s) {
-    ShardPlanContext plan_ctx(&sharded_table, s, now, /*tick_index=*/0);
-    sharded_fungus.PlanShard(plan_ctx);
-    ShardPlan plan = plan_ctx.TakePlan();
-    planned_skips += plan.segments_skipped;
-    planned_actions += plan.actions.size();
+  Table three = build(3);
+  RetentionFungus three_fungus(kHour);
+  const DecayTick three_tick =
+      RunDecayTick(three, three_fungus, now, /*tick_index=*/0, nullptr);
+
+  EXPECT_GT(one_tick.stats.segments_skipped, 0u);
+  EXPECT_EQ(three_tick.stats.segments_skipped,
+            one_tick.stats.segments_skipped);
+  EXPECT_EQ(three_tick.stats.tuples_touched, one_tick.stats.tuples_touched);
+  EXPECT_EQ(three_tick.stats.tuples_killed, one_tick.stats.tuples_killed);
+  EXPECT_EQ(three_tick.killed, one_tick.killed);
+  EXPECT_EQ(three.LiveRows(), one.LiveRows());
+  for (RowId row : one.LiveRows()) {
+    EXPECT_EQ(three.Freshness(row), one.Freshness(row)) << row;
   }
-  EXPECT_EQ(planned_skips, serial_ctx.stats().segments_skipped);
-  EXPECT_EQ(planned_actions, serial_ctx.stats().tuples_touched);
-  EXPECT_GT(planned_skips, 0u);
 }
 
 }  // namespace

@@ -44,6 +44,30 @@ TEST(DecaySchedulerTest, TicksAtPeriodBoundaries) {
   EXPECT_EQ(scheduler.StatsFor(id).ticks, 5u);
 }
 
+TEST(DecaySchedulerTest, AttachmentsOnOneTableApplyInOrder) {
+  // Fungi attached to one table tick in attachment order at equal times,
+  // each seeing the previous one's writes: the window keeps the newest
+  // 50 rows, then retention (10us, everything is older) wipes the rest.
+  TableOptions opts;
+  opts.rows_per_segment = 64;
+  Table t("t", OneColSchema(), opts);
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(t.Append({Value::Int64(i)}, i).ok());
+  }
+  DecayScheduler scheduler;
+  const auto window =
+      scheduler
+          .Attach(&t, std::make_unique<SlidingWindowFungus>(50), 200, 0)
+          .value();
+  const auto retention =
+      scheduler.Attach(&t, std::make_unique<RetentionFungus>(10), 200, 0)
+          .value();
+  EXPECT_EQ(scheduler.AdvanceTo(200), 2u);
+  EXPECT_EQ(t.live_rows(), 0u);
+  EXPECT_EQ(scheduler.StatsFor(window).decay.tuples_killed, 50u);
+  EXPECT_EQ(scheduler.StatsFor(retention).decay.tuples_killed, 50u);
+}
+
 TEST(DecaySchedulerTest, MultipleAttachmentsInterleaveChronologically) {
   DecayScheduler scheduler;
   Table t1("t1", OneColSchema());
